@@ -1,17 +1,18 @@
 //! APro hot-path scaling: the greedy `select_db` candidate scan on the
-//! incremental parallel engine vs the reference evaluation, at
+//! incremental engine vs the reference evaluation, at
 //! `n ∈ {16, 64, 256}` mediated databases.
 //!
 //! Besides the criterion targets, the bench merges its report into the
 //! `apro_scaling` section of the machine-readable `BENCH_apro.json` at
-//! the repository root, recording both timings and the speedup per
-//! size — the acceptance artifact for the engine (`ISSUE`: ≥ 2× on the
+//! the repository root, recording both timings (runs, min/median/max)
+//! and the speedup per size, plus the machine's `cores` — the
+//! acceptance artifact for the engine (floor: ≥ 2× on the
 //! greedy scan at n = 256). The `serve_throughput` bench owns the
 //! file's other section.
 //!
 //! Per size the report also records what mp-obs sees: the engine scan
 //! re-measured with recording on (`engine_ns_obs`, overhead budget
-//! ≤ 2% of `engine_ns`), then again under an active per-request trace
+//! ≤ 2% of `engine.median_ns`), then again under an active per-request trace
 //! scope (`engine_ns_trace` / `trace_overhead_pct` — the marginal cost
 //! of the waterfall, budget ≤ 2% over plain recording) and the
 //! per-phase span averages — base-DP
@@ -79,18 +80,41 @@ struct PhaseReport {
     avg_self_ns: f64,
 }
 
+/// Wall-clock samples of one measurement: count and min/median/max.
+#[derive(Serialize, Clone, Copy)]
+struct Spread {
+    runs: usize,
+    min_ns: f64,
+    median_ns: f64,
+    max_ns: f64,
+}
+
+impl Spread {
+    fn of(samples: &[f64]) -> Self {
+        let (min_ns, median_ns, _, max_ns) = criterion::summarize(samples);
+        Self {
+            runs: samples.len(),
+            min_ns,
+            median_ns,
+            max_ns,
+        }
+    }
+}
+
 #[derive(Serialize)]
 struct SizeReport {
     n: usize,
-    repeats: usize,
-    engine_ns: f64,
-    reference_ns: f64,
+    /// `reference.median_ns / engine.median_ns`.
     speedup: f64,
-    /// Off/on sample pairs behind `engine_ns` / `engine_ns_obs`.
-    engine_repeats: usize,
-    /// The engine scan re-measured with mp-obs recording enabled.
+    /// The engine scan, recording off (the off half of `engine.runs`
+    /// interleaved off/on pairs).
+    engine: Spread,
+    /// The reference scan, recording off.
+    reference: Spread,
+    /// The engine scan's median with mp-obs recording enabled.
     engine_ns_obs: f64,
-    /// `(engine_ns_obs - engine_ns) / engine_ns`, as a percentage.
+    /// `(engine_ns_obs - engine.median_ns) / engine.median_ns`, as a
+    /// percentage.
     obs_overhead_pct: f64,
     /// The engine scan re-measured with recording on *and* an active
     /// per-request trace scope (every engine span also lands in the
@@ -106,15 +130,17 @@ struct SizeReport {
 #[derive(Serialize)]
 struct ScalingReport {
     bench: String,
+    /// Cores the measuring machine offered (`available_parallelism`).
+    cores: usize,
     k: usize,
     metric: String,
     support_points: usize,
     sizes: Vec<SizeReport>,
 }
 
-/// Median wall-clock nanoseconds of `repeats` runs of `f` (after one
-/// warm-up run).
-fn median_ns<T>(repeats: usize, mut f: impl FnMut() -> T) -> f64 {
+/// Wall-clock nanoseconds of `repeats` runs of `f` (after one warm-up
+/// run).
+fn timed_ns<T>(repeats: usize, mut f: impl FnMut() -> T) -> Spread {
     black_box(f());
     let samples: Vec<f64> = (0..repeats)
         .map(|_| {
@@ -123,15 +149,14 @@ fn median_ns<T>(repeats: usize, mut f: impl FnMut() -> T) -> f64 {
             t.elapsed().as_nanos() as f64
         })
         .collect();
-    let (_, median, _, _) = criterion::summarize(&samples);
-    median
+    Spread::of(&samples)
 }
 
-/// Median wall-clock nanoseconds of `f` with mp-obs recording off and
-/// on, measured as interleaved off/on pairs so slow drift (thermal,
+/// Wall-clock nanoseconds of `f` with mp-obs recording off and on,
+/// measured as interleaved off/on pairs so slow drift (thermal,
 /// scheduler load on a shared runner) hits both sides equally instead
 /// of biasing the overhead comparison. Leaves recording enabled.
-fn paired_medians_ns<T>(repeats: usize, mut f: impl FnMut() -> T) -> (f64, f64) {
+fn paired_ns<T>(repeats: usize, mut f: impl FnMut() -> T) -> (Spread, Spread) {
     for enabled in [false, true] {
         mp_obs::set_enabled(enabled);
         black_box(f()); // warm-up, both modes
@@ -148,14 +173,12 @@ fn paired_medians_ns<T>(repeats: usize, mut f: impl FnMut() -> T) -> (f64, f64) 
         black_box(f());
         on.push(t.elapsed().as_nanos() as f64);
     }
-    let (_, off_med, _, _) = criterion::summarize(&off);
-    let (_, on_med, _, _) = criterion::summarize(&on);
-    (off_med, on_med)
+    (Spread::of(&off), Spread::of(&on))
 }
 
 /// Median wall-clock nanoseconds of `f` with recording on, measured as
 /// interleaved pairs: plain vs under an active per-request trace scope.
-/// Same drift-cancelling protocol as [`paired_medians_ns`]. A fresh
+/// Same drift-cancelling protocol as [`paired_ns`]. A fresh
 /// scope is begun per iteration *outside* the timed region (one scope
 /// holds at most `MAX_TRACE_EVENTS` events, so reusing a scope would
 /// measure a saturated — cheaper — waterfall); the timed region then
@@ -199,10 +222,11 @@ fn write_scaling_report() {
             "engine and reference scans disagree at n={n}: {e} vs {r}"
         );
         // Engine scan with recording off (one relaxed atomic load per
-        // instrumentation site — the historical meaning of `engine_ns`)
+        // instrumentation site — the historical meaning of the engine time)
         // and on, interleaved; spans from the on-runs give the phases.
         mp_obs::reset();
-        let (engine_ns, engine_ns_obs) = paired_medians_ns(engine_repeats, || engine_scan(&state));
+        let (engine, engine_obs) = paired_ns(engine_repeats, || engine_scan(&state));
+        let (engine_ns, engine_ns_obs) = (engine.median_ns, engine_obs.median_ns);
         let fast_snap = mp_obs::snapshot();
         let obs_overhead_pct = (engine_ns_obs - engine_ns) / engine_ns * 100.0;
 
@@ -214,7 +238,8 @@ fn write_scaling_report() {
         let trace_overhead_pct = (engine_ns_trace - trace_base_ns) / trace_base_ns * 100.0;
 
         mp_obs::set_enabled(false);
-        let reference_ns = median_ns(repeats, || reference_scan(&state));
+        let reference = timed_ns(repeats, || reference_scan(&state));
+        let reference_ns = reference.median_ns;
         let speedup = reference_ns / engine_ns;
 
         // The reference fallback is a separate branch (absolute metric,
@@ -261,11 +286,9 @@ fn write_scaling_report() {
         );
         sizes.push(SizeReport {
             n,
-            repeats,
-            engine_ns,
-            reference_ns,
             speedup,
-            engine_repeats,
+            engine,
+            reference,
             engine_ns_obs,
             obs_overhead_pct,
             engine_ns_trace,
@@ -276,6 +299,7 @@ fn write_scaling_report() {
     mp_obs::set_enabled(true);
     let report = ScalingReport {
         bench: "greedy select_db candidate scan".to_string(),
+        cores: std::thread::available_parallelism().map_or(1, |n| n.get()),
         k: K,
         metric: METRIC.to_string(),
         support_points: 8,

@@ -1,6 +1,7 @@
 //! The parallel evaluation layer: a tiny order-preserving fork-join map
-//! used to fan the APro hot loops — greedy per-candidate usefulness
-//! scans and per-database marginal computations — across cores.
+//! used to fan the APro hot loops — the greedy usefulness scan's
+//! per-database columns and the per-database marginal computations —
+//! across cores once the fleet reaches [`FANOUT_MIN`] databases.
 //!
 //! Gated behind the `parallel` feature (on by default). The sequential
 //! fallback is **bit-identical**: both paths evaluate the same closure
@@ -11,6 +12,23 @@
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::OnceLock;
+
+/// The fan-out threshold of the engine's cheap per-database loops, in
+/// databases: the greedy usefulness scan
+/// ([`crate::engine::usefulness_all`]) and the ranked marginals behind
+/// [`crate::selection::best_set`] fan out only for fleets this large and
+/// run on the calling thread below it. (The scan's absolute-metric
+/// `k > 1` reference fallback, at about a millisecond per candidate,
+/// keeps fanning out from two candidates.) Every
+/// fork-join spawns its scoped threads afresh. On the paper's
+/// 20-database testbed a scan takes a few hundred microseconds, and two
+/// threads spawned per scan next to two serving workers cost more than
+/// they save: traced `cold_probe` requests spent 0.8–5.7 ms per request
+/// in the serving layer's own time with the fan-out and 0.57 ms without
+/// it (2 vCPU Xeon). At 200 databases the marginal fan-out is kept
+/// (`wide_fleet` p50 4.2 ms with it, 6.5 ms without; DESIGN.md §5 has
+/// the spread).
+pub const FANOUT_MIN: usize = 32;
 
 /// The process-wide runtime fan-out switch, seeded from `MP_PAR` on
 /// first use (same contract as `MP_OBS`: `0`/`false`/`off`/`no`
@@ -59,11 +77,17 @@ where
 {
     #[cfg(feature = "parallel")]
     {
-        let threads = std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(1)
-            .min(n.max(1));
-        if parallel_enabled() && threads > 1 && n >= min_chunk.max(2) {
+        // `available_parallelism` reads the affinity mask and cgroup
+        // quota (syscalls and file reads), so it is asked only once the
+        // cheap checks pass.
+        let threads = if parallel_enabled() && n >= min_chunk.max(2) {
+            std::thread::available_parallelism()
+                .map_or(1, |p| p.get())
+                .min(n)
+        } else {
+            1
+        };
+        if threads > 1 {
             mp_obs::counter!("par.fanouts").incr();
             let mut results: Vec<Option<T>> = (0..n).map(|_| None).collect();
             let chunk = n.div_ceil(threads);

@@ -1,10 +1,11 @@
 //! The `APro` adaptive probing algorithm (paper Section 5.3, Figure 11).
 //!
-//! Both per-step evaluations run on the parallel incremental engine:
-//! the policy's `select_db` scores candidates through
+//! Both per-step evaluations run on the incremental engine: the
+//! policy's `select_db` scores candidates through
 //! [`crate::engine::usefulness_all`] (greedy), and the post-probe
-//! re-selection's [`best_set`] fans its per-database marginals across
-//! cores ([`crate::par`]). `APro` itself stays a straight-line loop —
+//! re-selection's [`best_set`] ranks per-database marginals. Both run on
+//! the calling thread below [`crate::par::FANOUT_MIN`] databases and fan
+//! out across cores above it. `APro` itself stays a straight-line loop —
 //! determinism and the paper's control flow are untouched by either
 //! optimisation.
 

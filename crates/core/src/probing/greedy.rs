@@ -16,7 +16,9 @@
 //! state re-probed per outcome). [`GreedyPolicy::select_db`] — the hot
 //! path APro hits once per probe — instead scores all candidates through
 //! [`crate::engine`]: the same quantities via incremental leave-one-out
-//! Poisson-binomial patches, fanned across cores.
+//! Poisson-binomial patches, in one pass over the support points that
+//! scores every candidate at once. That pass runs on the calling thread
+//! below [`crate::par::FANOUT_MIN`] databases and fans out above it.
 
 use crate::correctness::CorrectnessMetric;
 use crate::engine;

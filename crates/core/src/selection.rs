@@ -3,27 +3,23 @@
 
 use crate::correctness::CorrectnessMetric;
 use crate::expected::{expected_correctness, marginal_topk_prob};
-use crate::par::par_map_indexed;
+use crate::par::{par_map_indexed, FANOUT_MIN};
 use mp_stats::float::total_cmp_desc;
 use mp_stats::Discrete;
-
-/// Below this many databases a marginal fan-out costs more in fork-join
-/// overhead than the `O(n · s̄ · k)` marginals themselves.
-const MARGINAL_PAR_MIN: usize = 32;
 
 /// Every database's marginal top-k probability, ranked descending with
 /// ties to the lower index — the shared first step of [`best_set`] and
 /// [`best_set_score_quick`]. The per-database marginals are independent,
-/// so they fan out across cores ([`par_map_indexed`]) once `n` is large
-/// enough to pay for the fork-join; order-preserving collection keeps the
+/// so they fan out across cores ([`par_map_indexed`]) once `n` reaches
+/// [`FANOUT_MIN`], where they pay for the fork-join; order-preserving
+/// collection keeps the
 /// result bit-identical to the sequential evaluation.
 fn ranked_marginals(rds: &[Discrete], k: usize) -> Vec<(usize, f64)> {
-    let mut marginals: Vec<(usize, f64)> = par_map_indexed(rds.len(), MARGINAL_PAR_MIN, |i| {
-        marginal_topk_prob(rds, i, k)
-    })
-    .into_iter()
-    .enumerate()
-    .collect();
+    let mut marginals: Vec<(usize, f64)> =
+        par_map_indexed(rds.len(), FANOUT_MIN, |i| marginal_topk_prob(rds, i, k))
+            .into_iter()
+            .enumerate()
+            .collect();
     marginals.sort_by(|a, b| total_cmp_desc(a.1, b.1).then(a.0.cmp(&b.0)));
     marginals
 }

@@ -324,11 +324,11 @@ mod quantiles {
         assert_eq!(only_overflow.approx_quantile(0.99), 900);
 
         // Out-of-range q clamps instead of panicking or skipping
-        // buckets; a bounded bucket reports its bound even when the
-        // true max is smaller (conservative by design).
+        // buckets; a bounded bucket reports its bound, clamped to the
+        // observed max when the max is smaller.
         let r = row(&[10, 100], &[5, 5, 0], 1, 60);
         assert_eq!(r.approx_quantile(-3.0), 10);
-        assert_eq!(r.approx_quantile(7.5), 100);
+        assert_eq!(r.approx_quantile(7.5), 60);
     }
 
     #[test]

@@ -163,11 +163,15 @@ fn approx_quantile_empty_row_is_zero() {
 
 #[test]
 fn approx_quantile_single_bucket_reports_its_bound() {
-    // Everything in one finite bucket: every quantile is that bound.
-    let single = row(&[10], &[4, 0], 7);
+    // Everything in one finite bucket: every quantile is that bound,
+    // clamped to the observed max when the max sits below it.
+    let single = row(&[10], &[4, 0], 10);
     assert_eq!(single.approx_quantile(0.0), 10);
     assert_eq!(single.approx_quantile(0.5), 10);
     assert_eq!(single.approx_quantile(1.0), 10);
+    let below = row(&[10], &[4, 0], 7);
+    assert_eq!(below.approx_quantile(0.0), 7);
+    assert_eq!(below.approx_quantile(1.0), 7);
 }
 
 #[test]
@@ -185,6 +189,51 @@ fn approx_quantile_clamps_q() {
     let r = row(&[10, 100], &[2, 2, 0], 60);
     assert_eq!(r.approx_quantile(-3.0), r.approx_quantile(0.0));
     assert_eq!(r.approx_quantile(42.0), r.approx_quantile(1.0));
+}
+
+/// Samples bucketed under one of [`BOUND_SETS`], as a row whose `min`
+/// and `max` are the samples' own.
+fn row_of(bounds: &[u64], samples: &[u64]) -> HistogramRow {
+    let mut buckets = vec![0u64; bounds.len() + 1];
+    for &v in samples {
+        buckets[bounds.iter().position(|&b| v <= b).unwrap_or(bounds.len())] += 1;
+    }
+    let mut r = row(bounds, &buckets, samples.iter().copied().max().unwrap_or(0));
+    r.min = samples.iter().copied().min().unwrap_or(0);
+    r
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Against a sorted-vector oracle: every estimate lies between the
+    /// true (nearest-rank) quantile and the observed max, and rises
+    /// with `q`.
+    #[test]
+    fn prop_approx_quantile_is_bounded_by_oracle_and_max(
+        set in 0usize..BOUND_SETS.len(),
+        samples in proptest::collection::vec(0u64..20_000, 1..80)
+    ) {
+        let bounds = BOUND_SETS[set];
+        let r = row_of(bounds, &samples);
+        let mut sorted = samples.clone();
+        sorted.sort_unstable();
+        let count = sorted.len() as f64;
+        let mut prev = 0u64;
+        for step in 0..=100u32 {
+            let q = f64::from(step) / 100.0;
+            let est = r.approx_quantile(q);
+            // Nearest rank: the smallest rank covering q · count.
+            let rank = (1..=sorted.len())
+                .find(|&rank| rank as f64 >= q * count)
+                .unwrap_or(sorted.len());
+            let truth = sorted[rank - 1];
+            prop_assert!(est >= truth, "q={}: estimate {} below true {}", q, est, truth);
+            prop_assert!(est <= r.max, "q={}: estimate {} above max {}", q, est, r.max);
+            prop_assert!(est >= prev, "q={}: estimate {} fell from {}", q, est, prev);
+            prev = est;
+        }
+    }
 }
 
 #[test]

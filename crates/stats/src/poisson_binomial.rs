@@ -165,6 +165,11 @@ impl IncrementalPoissonBinomial {
 
     /// Folds in one more trial with success probability `p`. `O(n)`.
     ///
+    /// `p ∈ {0, 1}` append or shift the pmf instead of running the fold:
+    /// for a pmf without `−0.0` entries (one built by pushes never holds
+    /// one) the fold's `x·1 + y·0` and `x·0 + y·1` are exactly `x` and
+    /// `y`, so both shortcuts are bit-identical to the full pass.
+    ///
     /// # Panics
     /// Panics if `p` is outside `[0, 1]` or non-finite.
     pub fn push(&mut self, p: f64) {
@@ -172,14 +177,33 @@ impl IncrementalPoissonBinomial {
             p.is_finite() && (0.0..=1.0).contains(&p),
             "Bernoulli probability out of range: {p}"
         );
-        self.pmf.push(0.0);
-        let m = self.pmf.len() - 1;
-        for j in (0..=m).rev() {
-            let stay = if j < m { self.pmf[j] * (1.0 - p) } else { 0.0 };
-            let from_below = if j > 0 { self.pmf[j - 1] * p } else { 0.0 };
-            self.pmf[j] = stay + from_below;
-        }
         self.probs.push(p);
+        if exact_zero(p) {
+            self.pmf.push(0.0);
+            return;
+        }
+        if exact_one(p) {
+            self.pmf.insert(0, 0.0);
+            return;
+        }
+        // The fold's end terms add an exact `+0.0` (`0 + x·p` at the new
+        // top, `x·q + 0` at the bottom), which leaves a non-negative `x`
+        // unchanged, so they are written without it.
+        let q = 1.0 - p;
+        let top = self.pmf[self.pmf.len() - 1] * p;
+        for j in (1..self.pmf.len()).rev() {
+            self.pmf[j] = self.pmf[j] * q + self.pmf[j - 1] * p;
+        }
+        self.pmf[0] *= q;
+        self.pmf.push(top);
+    }
+
+    /// Drops every trial (back to `P(0 successes) = 1`), keeping both
+    /// allocations for the next round of pushes.
+    pub fn clear(&mut self) {
+        self.pmf.clear();
+        self.pmf.push(1.0);
+        self.probs.clear();
     }
 
     /// Removes the trial at `index` (indices shift down, as in
@@ -230,6 +254,77 @@ impl IncrementalPoissonBinomial {
     /// `O(n)`, no allocation beyond `out`'s capacity.
     pub fn excluding_into(&self, index: usize, out: &mut Vec<f64>) {
         deconvolve(&self.pmf, self.probs[index], out);
+    }
+
+    /// The first `len` entries of [`Self::excluding_into`]'s pmf, bit for
+    /// bit, written into `out` (cleared first) — for callers that only
+    /// read `P(at most len − 1 successes)` of the leave-one-out
+    /// distribution. A forward deconvolution (`p ≤ ½`) stops after `len`
+    /// steps; a backward one (`p > ½`) starts at the pmf's highest
+    /// non-zero entry instead of the top.
+    ///
+    /// The backward start is exact: above the highest non-zero entry
+    /// every `f[j]` is `+0.0`, and the full recurrence turns each of them
+    /// into `(+0.0 − 0·q)/p = +0.0`, so it enters the non-zero part with
+    /// the same `+0.0` carry the shortened one starts from. This needs
+    /// the zeros to be positive; a pmf built by [`Self::push`] never
+    /// holds `−0.0` (every term is a sum of products of non-negative
+    /// factors, and a deconvolution clamps to `[+0.0, 1]`).
+    ///
+    /// # Panics
+    /// Panics if `index` is out of bounds or `len` exceeds the trials.
+    pub fn excluding_prefix_into(&self, index: usize, len: usize, out: &mut Vec<f64>) {
+        out.clear();
+        out.resize(len, 0.0);
+        deconvolve_prefix(&self.pmf, self.top(), self.probs[index], out);
+    }
+
+    /// [`Self::excluding_prefix_into`] for every trial in `indices` at
+    /// once: `out` (cleared first) holds `len` entries per index, in
+    /// `indices` order, each bit-identical to the single query.
+    ///
+    /// The backward deconvolutions are serial divide chains over the
+    /// same pmf, independent of each other, so they run four trials at a
+    /// time in `[f64; 4]` lanes: the same operations per lane, with the
+    /// four chains' latencies overlapping. A short last group repeats
+    /// its final lane.
+    ///
+    /// # Panics
+    /// Panics if an index is out of bounds or `len` exceeds the trials.
+    pub fn excluding_prefixes_into(&self, indices: &[usize], len: usize, out: &mut Vec<f64>) {
+        out.clear();
+        out.resize(indices.len() * len, 0.0);
+        if len == 0 {
+            return;
+        }
+        let top = self.top();
+        // Pending backward lanes: (success probability, output offset).
+        let mut lanes = [(0.0f64, 0usize); 4];
+        let mut pending = 0;
+        for (c, &index) in indices.iter().enumerate() {
+            let p = self.probs[index];
+            let dst = c * len;
+            if exact_zero(p) || exact_one(p) || p <= 0.5 {
+                deconvolve_prefix(&self.pmf, top, p, &mut out[dst..dst + len]);
+                continue;
+            }
+            lanes[pending] = (p, dst);
+            pending += 1;
+            if pending == lanes.len() {
+                backward_prefix_lanes(&self.pmf, top, lanes, len, out);
+                pending = 0;
+            }
+        }
+        if pending > 0 {
+            let last = lanes[pending - 1];
+            lanes[pending..].fill(last);
+            backward_prefix_lanes(&self.pmf, top, lanes, len, out);
+        }
+    }
+
+    /// Index of the highest non-zero pmf entry (0 if there is none).
+    fn top(&self) -> usize {
+        self.pmf.iter().rposition(|&x| !exact_zero(x)).unwrap_or(0)
     }
 
     /// Number of live trials `n`.
@@ -300,6 +395,72 @@ fn deconvolve(f: &[f64], p: f64, out: &mut Vec<f64>) {
             let g = ((f[j + 1] - next * q) / p).clamp(0.0, 1.0);
             out[j] = g;
             next = g;
+        }
+    }
+}
+
+/// Writes the first `out.len()` entries of [`deconvolve`]`(f, p)` into
+/// `out`, with the same operations in the same order per entry. `top`
+/// is the highest non-zero index of `f`; the backward recurrence starts
+/// there (see [`IncrementalPoissonBinomial::excluding_prefix_into`]).
+fn deconvolve_prefix(f: &[f64], top: usize, p: f64, out: &mut [f64]) {
+    let n = f.len() - 1;
+    let len = out.len();
+    assert!(n >= 1, "cannot remove a trial from an empty accumulator");
+    assert!(len <= n, "prefix of {len} entries from a {n}-entry pmf");
+    if exact_zero(p) {
+        out.copy_from_slice(&f[..len]);
+    } else if exact_one(p) {
+        out.copy_from_slice(&f[1..=len]);
+    } else if p <= 0.5 {
+        let q = 1.0 - p;
+        let mut prev = 0.0;
+        for (g, &fj) in out.iter_mut().zip(&f[..len]) {
+            *g = ((fj - prev * p) / q).clamp(0.0, 1.0);
+            prev = *g;
+        }
+    } else {
+        let q = 1.0 - p;
+        let mut next = 0.0;
+        for j in (len..top).rev() {
+            next = ((f[j + 1] - next * q) / p).clamp(0.0, 1.0);
+        }
+        let stored = len.min(top);
+        out[stored..].fill(0.0);
+        for j in (0..stored).rev() {
+            next = ((f[j + 1] - next * q) / p).clamp(0.0, 1.0);
+            out[j] = next;
+        }
+    }
+}
+
+/// Four backward prefix deconvolutions of the same pmf `f` in lockstep:
+/// lane `l` divides by `lanes[l].0` (`> ½`, not 1) and writes its `len`
+/// entries at `out[lanes[l].1..]`. Per lane, the operations are exactly
+/// [`deconvolve_prefix`]'s backward branch; entries from `top` up are
+/// the `+0.0` that `out` was filled with.
+fn backward_prefix_lanes(
+    f: &[f64],
+    top: usize,
+    lanes: [(f64, usize); 4],
+    len: usize,
+    out: &mut [f64],
+) {
+    let p = lanes.map(|(p, _)| p);
+    let q = p.map(|p| 1.0 - p);
+    let mut next = [0.0f64; 4];
+    let step = |fj: f64, next: &mut [f64; 4]| {
+        for l in 0..4 {
+            next[l] = ((fj - next[l] * q[l]) / p[l]).clamp(0.0, 1.0);
+        }
+    };
+    for j in (len..top).rev() {
+        step(f[j + 1], &mut next);
+    }
+    for j in (0..len.min(top)).rev() {
+        step(f[j + 1], &mut next);
+        for (l, &(_, dst)) in lanes.iter().enumerate() {
+            out[dst + j] = next[l];
         }
     }
 }
@@ -486,7 +647,94 @@ mod tests {
         }
     }
 
+    /// Trial probabilities for the leave-one-out prefix properties: the
+    /// deconvolution's branch edges (0, 1, ½, the next float above ½,
+    /// 1 − 1e-12, 1e-300) about half the time, uniform draws otherwise.
+    fn arb_edge_probs(max_len: usize) -> impl Strategy<Value = Vec<f64>> {
+        proptest::collection::vec((0u8..12, 0.0f64..=1.0), 1..max_len).prop_map(|draws| {
+            draws
+                .into_iter()
+                .map(|(sel, p)| match sel {
+                    0 => 0.0,
+                    1 => 1.0,
+                    2 => 0.5,
+                    3 => f64::from_bits(0.5f64.to_bits() + 1),
+                    4 => 1.0 - 1e-12,
+                    5 => 1e-300,
+                    _ => p,
+                })
+                .collect()
+        })
+    }
+
+    fn bits(xs: &[f64]) -> Vec<u64> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn prefix_backward_start_skips_zero_tail() {
+        // Six certain-miss trials leave a +0.0 tail above two live
+        // ones; removing the p > ½ trial starts below that tail.
+        let inc = IncrementalPoissonBinomial::from_probs(&[0.9, 0.0, 0.3, 0.0, 0.0, 0.0, 0.0, 0.0]);
+        assert_eq!(inc.top(), 2);
+        let mut full = Vec::new();
+        inc.excluding_into(0, &mut full);
+        for len in 0..=8 {
+            let mut prefix = Vec::new();
+            inc.excluding_prefix_into(0, len, &mut prefix);
+            assert_eq!(bits(&prefix), bits(&full[..len]), "len={len}");
+        }
+    }
+
     proptest! {
+        #[test]
+        fn prop_push_shortcuts_match_the_fold(probs in arb_edge_probs(24)) {
+            // `PoissonBinomial::new` always runs the full fold.
+            let inc = IncrementalPoissonBinomial::from_probs(&probs);
+            let batch = PoissonBinomial::new(&probs);
+            prop_assert_eq!(bits(inc.pmf_slice()), bits(batch.pmf_slice()));
+        }
+
+        #[test]
+        fn prop_excluding_prefix_is_bitwise_prefix(
+            probs in arb_edge_probs(24),
+            idx_seed in 0usize..64,
+            len_seed in 0usize..64
+        ) {
+            let idx = idx_seed % probs.len();
+            let len = len_seed % (probs.len() + 1);
+            let inc = IncrementalPoissonBinomial::from_probs(&probs);
+            let mut full = Vec::new();
+            inc.excluding_into(idx, &mut full);
+            let mut prefix = Vec::new();
+            inc.excluding_prefix_into(idx, len, &mut prefix);
+            prop_assert_eq!(
+                bits(&prefix),
+                bits(&full[..len]),
+                "p={} len={} probs={:?}", probs[idx], len, probs
+            );
+        }
+
+        #[test]
+        fn prop_excluding_prefixes_match_single_queries(
+            probs in arb_edge_probs(24),
+            picks in proptest::collection::vec(0usize..64, 0..12),
+            len_seed in 0usize..64
+        ) {
+            let len = len_seed % (probs.len() + 1);
+            let indices: Vec<usize> = picks.iter().map(|&x| x % probs.len()).collect();
+            let inc = IncrementalPoissonBinomial::from_probs(&probs);
+            let mut all = Vec::new();
+            inc.excluding_prefixes_into(&indices, len, &mut all);
+            let mut want = Vec::new();
+            let mut one = Vec::new();
+            for &idx in &indices {
+                inc.excluding_prefix_into(idx, len, &mut one);
+                want.extend_from_slice(&one);
+            }
+            prop_assert_eq!(bits(&all), bits(&want), "indices={:?} len={}", indices, len);
+        }
+
         #[test]
         fn prop_dp_matches_brute_force(
             probs in proptest::collection::vec(0.0f64..=1.0, 0..10)
