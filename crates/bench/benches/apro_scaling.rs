@@ -257,7 +257,12 @@ fn write_scaling_report() {
         for (snap, names) in [
             (
                 &fast_snap,
-                &["engine.usefulness_all", "engine.base_dp", "engine.scan"][..],
+                &[
+                    "engine.usefulness_all",
+                    "engine.beats",
+                    "engine.base_dp",
+                    "engine.scan",
+                ][..],
             ),
             (&fallback_snap, &["engine.reference"][..]),
         ] {

@@ -156,6 +156,7 @@ fn lint_preflight() {
 /// which is exactly the regression CI should catch.
 const HOT_PATH_SPANS: &[&str] = &[
     "engine.usefulness_all",
+    "engine.beats",
     "engine.base_dp",
     "engine.scan",
     "selection.best_set",

@@ -22,6 +22,7 @@
 //! an independent oracle in tests.
 
 use crate::correctness::{golden_topk, CorrectnessMetric};
+use crate::engine::BeatTable;
 use mp_stats::float::{canonical, exact_zero};
 use mp_stats::poisson_binomial::at_most;
 use mp_stats::Discrete;
@@ -29,10 +30,15 @@ use rand::Rng;
 
 /// The per-query probabilistic state: one RD per database, with probed
 /// databases collapsed to impulses (paper Figure 10's two groups).
+///
+/// An `APro` run that may probe also keeps the state's [`BeatTable`]
+/// here, so the re-selection and the greedy scan read one matrix of beat
+/// probabilities that each probe updates in place.
 #[derive(Debug, Clone)]
 pub struct RdState {
     rds: Vec<Discrete>,
     probed: Vec<bool>,
+    beats: Option<BeatTable>,
 }
 
 impl RdState {
@@ -44,7 +50,43 @@ impl RdState {
             support.record(u64::try_from(rd.points().len()).unwrap_or(u64::MAX));
         }
         let probed = vec![false; rds.len()];
-        Self { rds, probed }
+        Self {
+            rds,
+            probed,
+            beats: None,
+        }
+    }
+
+    /// Builds the state's [`BeatTable`] unless it has one; every later
+    /// [`Self::probe`] keeps it current.
+    pub(crate) fn build_beats(&mut self) {
+        if self.beats.is_none() {
+            self.beats = Some(BeatTable::build(&self.rds));
+        }
+    }
+
+    /// The state's [`BeatTable`], if it keeps one.
+    pub(crate) fn beats(&self) -> Option<&BeatTable> {
+        self.beats.as_ref()
+    }
+
+    /// Every database's marginal top-k probability read off the state's
+    /// [`BeatTable`] (bit-identical to [`marginal_topk_prob`]), or `None`
+    /// when the state keeps no table.
+    pub(crate) fn table_marginals(&mut self, k: usize) -> Option<Vec<f64>> {
+        let table = self.beats.as_mut()?;
+        Some(table.marginals(&self.rds, k))
+    }
+
+    /// A copy without the [`BeatTable`] — for what-if states that are
+    /// probed and thrown away, where keeping the table current would
+    /// cost more than it saves.
+    pub(crate) fn without_beats(&self) -> Self {
+        Self {
+            rds: self.rds.clone(),
+            probed: self.probed.clone(),
+            beats: None,
+        }
     }
 
     /// Number of databases.
@@ -112,12 +154,15 @@ impl RdState {
         };
         self.rds[i] = Discrete::impulse(floored);
         self.probed[i] = true;
+        if let Some(table) = &mut self.beats {
+            table.update(&self.rds, i);
+        }
     }
 
     /// A copy of the state with database `i` hypothetically probed at
     /// `value` — the what-if primitive the greedy policy evaluates.
     pub fn with_hypothetical(&self, i: usize, value: f64) -> Self {
-        let mut c = self.clone();
+        let mut c = self.without_beats();
         c.probe(i, value);
         c
     }

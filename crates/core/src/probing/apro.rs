@@ -3,16 +3,18 @@
 //! Both per-step evaluations run on the incremental engine: the
 //! policy's `select_db` scores candidates through
 //! [`crate::engine::usefulness_all`] (greedy), and the post-probe
-//! re-selection's [`best_set`] ranks per-database marginals. Both run on
-//! the calling thread below [`crate::par::FANOUT_MIN`] databases and fan
-//! out across cores above it. `APro` itself stays a straight-line loop —
-//! determinism and the paper's control flow are untouched by either
-//! optimisation.
+//! re-selection ranks per-database marginals. Both read the state's
+//! beat table ([`crate::engine`]), which [`AproSession::begin`] builds
+//! for runs that may probe and each probe updates in one column. Both
+//! run on the calling thread below [`crate::par::FANOUT_MIN`] databases
+//! and fan out across cores above it. `APro` itself stays a
+//! straight-line loop — determinism and the paper's control flow are
+//! untouched by either optimisation.
 
 use crate::correctness::CorrectnessMetric;
 use crate::expected::RdState;
 use crate::probing::policy::ProbePolicy;
-use crate::selection::best_set;
+use crate::selection::best_set_of;
 use serde::{Deserialize, Serialize};
 
 /// `APro` inputs beyond the RD state (paper Figure 11's `q, k, t`).
@@ -118,7 +120,13 @@ impl<'s> AproSession<'s> {
             "threshold must be a probability"
         );
         mp_obs::counter!("apro.runs").incr();
-        let (initial_selected, initial_expected) = best_set(state.rds(), config.k, config.metric);
+        // A run that may probe keeps the state's beat table: every
+        // re-selection and scan reads it, and each probe updates it. A
+        // run that cannot probe reads the RDs directly and allocates none.
+        if config.max_probes != Some(0) {
+            state.build_beats();
+        }
+        let (initial_selected, initial_expected) = best_set_of(state, config.k, config.metric);
         Self {
             selected: initial_selected.clone(),
             expected: initial_expected,
@@ -180,7 +188,7 @@ impl<'s> AproSession<'s> {
         );
         self.pending = None;
         self.state.probe(db, actual);
-        let (sel, exp) = best_set(self.state.rds(), self.config.k, self.config.metric);
+        let (sel, exp) = best_set_of(self.state, self.config.k, self.config.metric);
         self.selected = sel.clone();
         self.expected = exp;
         self.probes.push(ProbeRecord {

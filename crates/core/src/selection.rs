@@ -2,26 +2,26 @@
 //! RD-based method (paper Sections 2.2 and 3.3).
 
 use crate::correctness::CorrectnessMetric;
-use crate::expected::{expected_correctness, marginal_topk_prob};
+use crate::expected::{expected_correctness, marginal_topk_prob, RdState};
 use crate::par::{par_map_indexed, FANOUT_MIN};
 use mp_stats::float::total_cmp_desc;
 use mp_stats::Discrete;
 
-/// Every database's marginal top-k probability, ranked descending with
-/// ties to the lower index — the shared first step of [`best_set`] and
-/// [`best_set_score_quick`]. The per-database marginals are independent,
-/// so they fan out across cores ([`par_map_indexed`]) once `n` reaches
-/// [`FANOUT_MIN`], where they pay for the fork-join; order-preserving
-/// collection keeps the
-/// result bit-identical to the sequential evaluation.
-fn ranked_marginals(rds: &[Discrete], k: usize) -> Vec<(usize, f64)> {
-    let mut marginals: Vec<(usize, f64)> =
-        par_map_indexed(rds.len(), FANOUT_MIN, |i| marginal_topk_prob(rds, i, k))
-            .into_iter()
-            .enumerate()
-            .collect();
-    marginals.sort_by(|a, b| total_cmp_desc(a.1, b.1).then(a.0.cmp(&b.0)));
-    marginals
+/// Every database's marginal top-k probability, in index order — the
+/// shared first step of [`best_set`] and [`best_set_score_quick`]. The
+/// per-database marginals are independent, so they fan out across cores
+/// ([`par_map_indexed`]) once `n` reaches [`FANOUT_MIN`], where they pay
+/// for the fork-join; order-preserving collection keeps the result
+/// bit-identical to the sequential evaluation.
+fn marginals(rds: &[Discrete], k: usize) -> Vec<f64> {
+    par_map_indexed(rds.len(), FANOUT_MIN, |i| marginal_topk_prob(rds, i, k))
+}
+
+/// `(database, marginal)` ranked descending, ties to the lower index.
+fn ranked(marginals: &[f64]) -> Vec<(usize, f64)> {
+    let mut ranked: Vec<(usize, f64)> = marginals.iter().copied().enumerate().collect();
+    ranked.sort_by(|a, b| total_cmp_desc(a.1, b.1).then(a.0.cmp(&b.0)));
+    ranked
 }
 
 /// Baseline selection: rank databases by point estimate, descending,
@@ -49,8 +49,35 @@ pub fn baseline_select(estimates: &[f64], k: usize) -> Vec<usize> {
 pub fn best_set(rds: &[Discrete], k: usize, metric: CorrectnessMetric) -> (Vec<usize>, f64) {
     assert!(k >= 1 && k <= rds.len(), "k out of range");
     let _span = mp_obs::span!("selection.best_set");
-    let marginals = ranked_marginals(rds, k);
-    let mut set: Vec<usize> = marginals[..k].iter().map(|&(i, _)| i).collect();
+    select(rds, &marginals(rds, k), k, metric)
+}
+
+/// [`best_set`] of an `APro` state: when the state keeps a beat table
+/// the marginals are read off it (bit-identical, see
+/// [`crate::engine`]), otherwise this is `best_set(state.rds(), …)`.
+pub(crate) fn best_set_of(
+    state: &mut RdState,
+    k: usize,
+    metric: CorrectnessMetric,
+) -> (Vec<usize>, f64) {
+    assert!(k >= 1 && k <= state.len(), "k out of range");
+    let _span = mp_obs::span!("selection.best_set");
+    let marginals = match state.table_marginals(k) {
+        Some(marginals) => marginals,
+        None => marginals(state.rds(), k),
+    };
+    select(state.rds(), &marginals, k, metric)
+}
+
+/// The best set given every database's marginal (see [`best_set`]).
+fn select(
+    rds: &[Discrete],
+    marginals: &[f64],
+    k: usize,
+    metric: CorrectnessMetric,
+) -> (Vec<usize>, f64) {
+    let ranked = ranked(marginals);
+    let mut set: Vec<usize> = ranked[..k].iter().map(|&(i, _)| i).collect();
     set.sort_unstable();
 
     // k = 1 short-circuit: Cor_a and Cor_p coincide (paper Section 3.2
@@ -58,13 +85,15 @@ pub fn best_set(rds: &[Discrete], k: usize, metric: CorrectnessMetric) -> (Vec<u
     // argmax — its marginal *is* its expected correctness. This is the
     // hot case inside the greedy policy's usefulness evaluation.
     if k == 1 {
-        return (set, marginals[0].1);
+        return (set, ranked[0].1);
     }
 
     match metric {
         CorrectnessMetric::Partial => {
-            let score = expected_correctness(rds, &set, metric);
-            (set, score)
+            // `expected_partial`'s sum over the set, from the marginals
+            // already at hand.
+            let sum: f64 = set.iter().map(|&i| marginals[i]).sum();
+            (set, (sum / k as f64).clamp(0.0, 1.0))
         }
         CorrectnessMetric::Absolute => {
             let mut score = expected_correctness(rds, &set, metric);
@@ -110,7 +139,7 @@ pub fn rd_based_select(rds: &[Discrete], k: usize, metric: CorrectnessMetric) ->
 /// the correctness semantics of the returned answer.
 pub fn best_set_score_quick(rds: &[Discrete], k: usize, metric: CorrectnessMetric) -> f64 {
     assert!(k >= 1 && k <= rds.len(), "k out of range");
-    let marginals = ranked_marginals(rds, k);
+    let marginals = ranked(&marginals(rds, k));
     match metric {
         // Partial: E[Cor_p] is the mean of the chosen marginals.
         CorrectnessMetric::Partial => {

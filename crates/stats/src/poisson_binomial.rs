@@ -470,12 +470,29 @@ fn backward_prefix_lanes(
 ///
 /// Equivalent to `PoissonBinomial::new(probs).cdf(limit)` but avoids
 /// materializing mass above `limit + 1` successes — the common case in
-/// top-k membership queries where `limit = k − 1 ≪ n`.
+/// top-k membership queries where `limit = k − 1 ≪ n`. The DP state
+/// lives on the stack for `limit ≤ 14` (every marginal and own-marginal
+/// cell calls this once per support point) and on the heap above it;
+/// both run the same operations.
 pub fn at_most(probs: &[f64], limit: usize) -> f64 {
     let cap = limit.min(probs.len());
-    // state[j] = P(exactly j successes so far), truncated at cap+1 where
-    // the overflow bucket absorbs everything above the limit.
-    let mut state = vec![0.0f64; cap + 2];
+    if cap + 2 <= AT_MOST_STACK {
+        let mut state = [0.0f64; AT_MOST_STACK];
+        at_most_in(probs, &mut state[..cap + 2])
+    } else {
+        at_most_in(probs, &mut vec![0.0; cap + 2])
+    }
+}
+
+/// Length of [`at_most`]'s stack state: `limit + 2` entries fit for
+/// `limit ≤ 14`, which covers every `k ≤ 15`.
+const AT_MOST_STACK: usize = 16;
+
+/// [`at_most`]'s DP over a zeroed state of `cap + 2` entries:
+/// `state[j] = P(exactly j successes so far)`, truncated at `cap + 1`
+/// where the overflow bucket absorbs everything above the limit.
+fn at_most_in(probs: &[f64], state: &mut [f64]) -> f64 {
+    let cap = state.len() - 2;
     state[0] = 1.0;
     for &p in probs {
         if exact_zero(p) {
@@ -498,6 +515,29 @@ pub fn at_most(probs: &[f64], limit: usize) -> f64 {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// The heap-allocating `at_most` the stack-state version replaced,
+    /// kept as a bitwise oracle.
+    fn at_most_oracle(probs: &[f64], limit: usize) -> f64 {
+        let cap = limit.min(probs.len());
+        let mut state = vec![0.0f64; cap + 2];
+        state[0] = 1.0;
+        for &p in probs {
+            if exact_zero(p) {
+                continue;
+            }
+            for j in (0..=cap + 1).rev() {
+                let from_below = if j > 0 { state[j - 1] * p } else { 0.0 };
+                let stay = if j <= cap {
+                    state[j] * (1.0 - p)
+                } else {
+                    state[j]
+                };
+                state[j] = stay + from_below;
+            }
+        }
+        state[..=cap].iter().sum::<f64>().clamp(0.0, 1.0)
+    }
 
     /// Brute-force oracle: enumerate all 2^n outcomes.
     fn brute_force_pmf(probs: &[f64]) -> Vec<f64> {
@@ -733,6 +773,28 @@ mod tests {
                 want.extend_from_slice(&one);
             }
             prop_assert_eq!(bits(&all), bits(&want), "indices={:?} len={}", indices, len);
+        }
+
+        #[test]
+        fn prop_at_most_is_bitwise_oracle(
+            draws in proptest::collection::vec((0u8..8, 0.0f64..=1.0), 0..40),
+            limit in 0usize..24
+        ) {
+            // p ∈ {0, 1, ½, 1 − 1e-12} half the time, uniform otherwise;
+            // limits on both sides of the stack state's capacity.
+            let probs: Vec<f64> = draws
+                .into_iter()
+                .map(|(sel, p)| match sel {
+                    0 => 0.0,
+                    1 => 1.0,
+                    2 => 0.5,
+                    3 => 1.0 - 1e-12,
+                    _ => p,
+                })
+                .collect();
+            let got = at_most(&probs, limit);
+            let want = at_most_oracle(&probs, limit);
+            prop_assert_eq!(got.to_bits(), want.to_bits(), "limit={} probs={:?}", limit, probs);
         }
 
         #[test]
